@@ -43,13 +43,13 @@ constexpr std::string_view kUsage =
     "  --fail-at-ns=T     when the failures hit (default 20000)\n"
     "  --recover-at-ns=T  bring the failed links back at T (default: never)\n"
     "  --cc               enable IBA congestion control (FECN/BECN + CCT)\n"
-    "  --cc-threshold=N   FECN marking backlog threshold, packets\n"
-    "  --cc-timer-ns=T    CCT recovery-timer period\n"
+    "  --cc-threshold=N   FECN marking backlog threshold, packets (N >= 1)\n"
+    "  --cc-timer-ns=T    CCT recovery-timer period (T >= 1)\n"
     "  --sample-interval-ns=T  interval-sampler cadence (0 = off)\n"
     "  --chrome-trace=PATH     write a chrome://tracing / Perfetto JSON "
     "trace\n"
     "  --trace-packets=N  record up to N per-packet event timelines\n"
-    "  --trace-stride=K   trace every K-th generated packet\n"
+    "  --trace-stride=K   trace every K-th generated packet (K >= 1)\n"
     "  --flight-recorder=K     keep the last K engine events per device\n"
     "                     (works under --shards: per-shard rings, dump\n"
     "                     tagged with the owning shard)\n"
@@ -194,11 +194,16 @@ CliOptions::CliOptions(int argc, char** argv) {
       cc_ = true;
     } else if (flag_value(argc, argv, i, "--cc-threshold", value)) {
       cc_threshold_ = parse_int<std::uint32_t>("--cc-threshold", value);
+      if (*cc_threshold_ < 1) usage_error("--cc-threshold must be >= 1");
     } else if (flag_value(argc, argv, i, "--cc-timer-ns", value)) {
       cc_timer_ns_ = parse_int<std::int64_t>("--cc-timer-ns", value);
+      if (*cc_timer_ns_ < 1) usage_error("--cc-timer-ns must be >= 1");
     } else if (flag_value(argc, argv, i, "--sample-interval-ns", value)) {
       sample_interval_ns_ =
           parse_int<std::int64_t>("--sample-interval-ns", value);
+      if (*sample_interval_ns_ < 0) {
+        usage_error("--sample-interval-ns must be >= 0 (0 = off)");
+      }
     } else if (flag_value(argc, argv, i, "--chrome-trace", value)) {
       if (value.empty()) usage_error("--chrome-trace needs a file path");
       chrome_trace_ = std::string(value);
@@ -206,6 +211,7 @@ CliOptions::CliOptions(int argc, char** argv) {
       trace_packets_ = parse_int<std::uint32_t>("--trace-packets", value);
     } else if (flag_value(argc, argv, i, "--trace-stride", value)) {
       trace_stride_ = parse_int<std::uint32_t>("--trace-stride", value);
+      if (*trace_stride_ < 1) usage_error("--trace-stride must be >= 1");
     } else if (flag_value(argc, argv, i, "--flight-recorder", value)) {
       flight_recorder_ = parse_int<std::uint32_t>("--flight-recorder", value);
     } else if (arg == "--profile") {

@@ -5,10 +5,10 @@
 #include <chrono>
 #include <cstdio>
 #include <optional>
-#include <thread>
 
 #include "common/rng.hpp"
 #include "common/text_table.hpp"
+#include "harness/job_pool.hpp"
 #include "parallel/sharded.hpp"
 #include "subnet/sm.hpp"
 
@@ -93,121 +93,105 @@ ScenarioReport run_scenario(const Scenario& scenario,
     jobs.push_back(Job{std::move(run), std::move(point)});
   }
 
-  unsigned threads = options.threads;
-  if (threads == 0) threads = std::thread::hardware_concurrency();
-  if (threads == 0) threads = 1;
-  threads = std::min<unsigned>(threads, static_cast<unsigned>(jobs.size()));
+  const unsigned threads = resolve_job_threads(options.threads, jobs.size());
 
-  std::atomic<std::size_t> cursor{0};
   std::atomic<std::size_t> completed{0};
   const auto sweep_start = std::chrono::steady_clock::now();
-  auto worker = [&]() {
-    for (;;) {
-      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= jobs.size()) return;
-      Job& job = jobs[i];
-      SimConfig cfg = job.run.sim;
-      cfg.seed = sim_seed;
-      if (options.profile) cfg.profile = true;
-      // Canonical event order for every arm, sharded or not: the sharded
-      // engine forces it anyway, so pinning it here makes scenario results
-      // (and therefore contract verdicts) invariant under --shards.
-      cfg.event_order = EventOrder::kCanonical;
-      // Per-arm fabric + subnet: fault arms mutate the fabric via the SM.
-      FatTreeFabric fabric(params);
-      const Subnet subnet(fabric, job.run.scheme);
-      const ShardOptions par{static_cast<std::uint32_t>(options.shards),
-                             threads > 1 ? 1u : 0u};
-      const auto start = std::chrono::steady_clock::now();
-      std::size_t hot_bytes = 0;
-      std::uint64_t events_processed = 0;
-      std::uint64_t events_scheduled = 0;
-      if (job.run.closed_loop) {
-        if (options.shards > 1) {
-          ShardedSimulation sim =
-              ShardedSimulation::burst(subnet, cfg, job.run.workload, par);
-          job.point.burst = sim.run_to_completion();
-          job.point.manifest.queue = sim.queue_stats();
-          hot_bytes = sim.memory_footprint();
-        } else {
-          Simulation sim = Simulation::burst(subnet, cfg, job.run.workload);
-          job.point.burst = sim.run_to_completion();
-          job.point.manifest.queue = sim.queue_stats();
-          hot_bytes = sim.memory_footprint();
-        }
-        events_processed = job.point.burst.events_processed;
-        events_scheduled = job.point.burst.events_scheduled;
+  run_jobs(jobs.size(), threads, [&](std::size_t i) {
+    Job& job = jobs[i];
+    SimConfig cfg = job.run.sim;
+    cfg.seed = sim_seed;
+    if (options.profile) cfg.profile = true;
+    // Canonical event order for every arm, sharded or not: the sharded
+    // engine forces it anyway, so pinning it here makes scenario results
+    // (and therefore contract verdicts) invariant under --shards.
+    cfg.event_order = EventOrder::kCanonical;
+    // Per-arm fabric + subnet: fault arms mutate the fabric via the SM.
+    FatTreeFabric fabric(params);
+    const Subnet subnet(fabric, job.run.scheme);
+    const ShardOptions par{static_cast<std::uint32_t>(options.shards),
+                           threads > 1 ? 1u : 0u};
+    const auto start = std::chrono::steady_clock::now();
+    std::size_t hot_bytes = 0;
+    std::uint64_t events_processed = 0;
+    std::uint64_t events_scheduled = 0;
+    if (job.run.closed_loop) {
+      if (options.shards > 1) {
+        ShardedSimulation sim =
+            ShardedSimulation::burst(subnet, cfg, job.run.workload, par);
+        job.point.burst = sim.run_to_completion();
+        job.point.manifest.queue = sim.queue_stats();
+        hot_bytes = sim.memory_footprint();
       } else {
-        TrafficConfig traffic = job.run.traffic;
-        traffic.seed = traffic_seed;
-        job.point.manifest.traffic_seed = traffic.seed;
-        // The live SM exists only for arms that actually schedule faults;
-        // fault-free arms take the byte-identical unattached path.
-        std::optional<SubnetManager> sm;
-        OpenLoopOptions sim_options;
-        if (!job.run.faults.empty()) {
-          sm.emplace(fabric, subnet);
-          sim_options.live_sm = &*sm;
-          sim_options.faults = job.run.faults;
-        }
-        if (options.shards > 1) {
-          ShardedSimulation sim = ShardedSimulation::open_loop(
-              subnet, cfg, traffic, job.run.offered_load, par, sim_options);
-          job.point.sim = sim.run();
-          job.point.manifest.queue = sim.queue_stats();
-          hot_bytes = sim.memory_footprint();
-        } else {
-          Simulation sim = Simulation::open_loop(
-              subnet, cfg, traffic, job.run.offered_load, sim_options);
-          job.point.sim = sim.run();
-          job.point.manifest.queue = sim.queue_stats();
-          hot_bytes = sim.memory_footprint();
-        }
-        events_processed = job.point.sim.events_processed;
-        events_scheduled = job.point.sim.events_scheduled;
+        Simulation sim = Simulation::burst(subnet, cfg, job.run.workload);
+        job.point.burst = sim.run_to_completion();
+        job.point.manifest.queue = sim.queue_stats();
+        hot_bytes = sim.memory_footprint();
       }
-      const double wall =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      job.point.manifest.sim_seed = cfg.seed;
-      job.point.manifest.wall_seconds = wall;
-      job.point.manifest.events_processed = events_processed;
-      job.point.manifest.events_scheduled = events_scheduled;
-      job.point.manifest.events_per_sec =
-          wall > 0.0 ? static_cast<double>(events_processed) / wall : 0.0;
-      job.point.manifest.threads = threads;
-      job.point.manifest.shards = options.shards;
-      job.point.manifest.policy = cfg.policy.forwarding;
-      job.point.manifest.vl_map = cfg.policy.vl_map;
-      job.point.manifest.scenario = job.point.scenario;
-      job.point.manifest.bytes_per_endport =
-          static_cast<double>(hot_bytes + subnet.routes().memory_bytes()) /
-          static_cast<double>(fabric_ports);
-      job.point.manifest.profile = job.point.sim.profile;
-      if (options.progress) {
-        const std::size_t done = completed.fetch_add(1) + 1;
-        const double elapsed =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          sweep_start)
-                .count();
-        const double eta = elapsed / static_cast<double>(done) *
-                           static_cast<double>(jobs.size() - done);
-        std::fprintf(
-            stderr,
-            "progress: %s %zu/%zu arms, %.1fs elapsed, eta %.1fs\n",
-            report.name.c_str(), done, jobs.size(), elapsed, eta);
+      events_processed = job.point.burst.events_processed;
+      events_scheduled = job.point.burst.events_scheduled;
+    } else {
+      TrafficConfig traffic = job.run.traffic;
+      traffic.seed = traffic_seed;
+      job.point.manifest.traffic_seed = traffic.seed;
+      // The live SM exists only for arms that actually schedule faults;
+      // fault-free arms take the byte-identical unattached path.
+      std::optional<SubnetManager> sm;
+      OpenLoopOptions sim_options;
+      if (!job.run.faults.empty()) {
+        sm.emplace(fabric, subnet);
+        sim_options.live_sm = &*sm;
+        sim_options.faults = job.run.faults;
       }
+      if (options.shards > 1) {
+        ShardedSimulation sim = ShardedSimulation::open_loop(
+            subnet, cfg, traffic, job.run.offered_load, par, sim_options);
+        job.point.sim = sim.run();
+        job.point.manifest.queue = sim.queue_stats();
+        hot_bytes = sim.memory_footprint();
+      } else {
+        Simulation sim = Simulation::open_loop(
+            subnet, cfg, traffic, job.run.offered_load, sim_options);
+        job.point.sim = sim.run();
+        job.point.manifest.queue = sim.queue_stats();
+        hot_bytes = sim.memory_footprint();
+      }
+      events_processed = job.point.sim.events_processed;
+      events_scheduled = job.point.sim.events_scheduled;
     }
-  };
-  if (threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-  }
+    const double wall =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start)
+            .count();
+    job.point.manifest.sim_seed = cfg.seed;
+    job.point.manifest.wall_seconds = wall;
+    job.point.manifest.events_processed = events_processed;
+    job.point.manifest.events_scheduled = events_scheduled;
+    job.point.manifest.events_per_sec =
+        wall > 0.0 ? static_cast<double>(events_processed) / wall : 0.0;
+    job.point.manifest.threads = threads;
+    job.point.manifest.shards = options.shards;
+    job.point.manifest.policy = cfg.policy.forwarding;
+    job.point.manifest.vl_map = cfg.policy.vl_map;
+    job.point.manifest.scenario = job.point.scenario;
+    job.point.manifest.bytes_per_endport =
+        static_cast<double>(hot_bytes + subnet.routes().memory_bytes()) /
+        static_cast<double>(fabric_ports);
+    job.point.manifest.profile = job.point.sim.profile;
+    if (options.progress) {
+      const std::size_t done = completed.fetch_add(1) + 1;
+      const double elapsed =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        sweep_start)
+              .count();
+      const double eta = elapsed / static_cast<double>(done) *
+                         static_cast<double>(jobs.size() - done);
+      std::fprintf(
+          stderr,
+          "progress: %s %zu/%zu arms, %.1fs elapsed, eta %.1fs\n",
+          report.name.c_str(), done, jobs.size(), elapsed, eta);
+    }
+  });
 
   std::vector<ScenarioOutcome> outcomes;
   outcomes.reserve(jobs.size());

@@ -6,10 +6,10 @@
 #include <cstdio>
 #include <map>
 #include <sstream>
-#include <thread>
 
 #include "common/rng.hpp"
 #include "common/text_table.hpp"
+#include "harness/job_pool.hpp"
 #include "obs/stream.hpp"
 #include "parallel/sharded.hpp"
 
@@ -63,7 +63,6 @@ std::vector<SweepPoint> run_sweep(const FigureSpec& base_spec,
   }
   if (options.profile) spec.sim.profile = true;
   MLID_EXPECT(options.shards >= 1, "SweepOptions::shards must be >= 1");
-  unsigned threads = options.threads;
 
   const FatTreeParams params(spec.m, spec.n);
   const FatTreeFabric fabric(params);
@@ -79,9 +78,7 @@ std::vector<SweepPoint> run_sweep(const FigureSpec& base_spec,
       spec.policies.empty() ? std::vector<PolicyConfig>{spec.sim.policy}
                             : spec.policies;
 
-  // Materialize the grid, then run the independent points on a small
-  // worker pool (the points differ wildly in cost, so dynamic work
-  // stealing via an atomic cursor beats static partitioning).
+  // Materialize the grid, then run the independent points on the job pool.
   struct Job {
     std::size_t subnet_index;
     SweepPoint point;
@@ -98,9 +95,7 @@ std::vector<SweepPoint> run_sweep(const FigureSpec& base_spec,
     }
   }
 
-  if (threads == 0) threads = std::thread::hardware_concurrency();
-  if (threads == 0) threads = 1;
-  threads = std::min<unsigned>(threads, static_cast<unsigned>(jobs.size()));
+  const unsigned threads = resolve_job_threads(options.threads, jobs.size());
 
   // Denominator of the manifest's bytes_per_endport: every physical port in
   // the fabric (switch and node side alike).
@@ -110,7 +105,6 @@ std::vector<SweepPoint> run_sweep(const FigureSpec& base_spec,
         static_cast<std::size_t>(fabric.fabric().device(dev).num_ports());
   }
 
-  std::atomic<std::size_t> cursor{0};
   std::atomic<std::size_t> completed{0};
   const auto sweep_start = std::chrono::steady_clock::now();
   // Stderr heartbeat + per-point metrics line, shared by every worker.
@@ -144,76 +138,64 @@ std::vector<SweepPoint> run_sweep(const FigureSpec& base_spec,
                    done, jobs.size(), elapsed, eta);
     }
   };
-  auto worker = [&]() {
-    for (;;) {
-      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= jobs.size()) return;
-      Job& job = jobs[i];
-      SimConfig cfg = spec.sim;
-      cfg.num_vls = job.point.vls;
-      cfg.policy = job.point.policy;
-      // Decorrelate the RNG streams across grid points while keeping each
-      // point reproducible in isolation; the hash depends only on the
-      // point's own coordinates, never on the grid shape or job index.
-      cfg.seed = sweep_point_seed(spec.sim.seed, job.point.scheme,
-                                  job.point.vls, job.point.load);
-      TrafficConfig traffic = spec.traffic;
-      traffic.seed = sweep_traffic_seed(spec.traffic.seed, job.point.vls,
-                                        job.point.load);
-      const auto start = std::chrono::steady_clock::now();
-      std::size_t hot_bytes = 0;
-      if (options.shards > 1) {
-        // Sharded engine per point.  With several sweep workers already in
-        // flight the shards drain inline (1 thread) to avoid oversubscribing
-        // the host; a single-worker sweep lets the engine pick its own pool.
-        ShardedSimulation sim = ShardedSimulation::open_loop(
-            *subnets[job.subnet_index], cfg, traffic, job.point.load,
-            {static_cast<std::uint32_t>(options.shards),
-             threads > 1 ? 1u : 0u});
-        job.point.result = sim.run();
-        job.point.manifest.queue = sim.queue_stats();
-        hot_bytes = sim.memory_footprint();
-      } else {
-        Simulation sim = Simulation::open_loop(*subnets[job.subnet_index],
-                                               cfg, traffic, job.point.load);
-        job.point.result = sim.run();
-        job.point.manifest.queue = sim.queue_stats();
-        hot_bytes = sim.memory_footprint();
-      }
-      const double wall =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      job.point.manifest.sim_seed = cfg.seed;
-      job.point.manifest.traffic_seed = traffic.seed;
-      job.point.manifest.wall_seconds = wall;
-      job.point.manifest.events_processed = job.point.result.events_processed;
-      job.point.manifest.events_scheduled = job.point.result.events_scheduled;
-      job.point.manifest.events_per_sec =
-          wall > 0.0
-              ? static_cast<double>(job.point.result.events_processed) / wall
-              : 0.0;
-      job.point.manifest.threads = threads;
-      job.point.manifest.shards = options.shards;
-      job.point.manifest.policy = job.point.policy.forwarding;
-      job.point.manifest.vl_map = job.point.policy.vl_map;
-      job.point.manifest.bytes_per_endport =
-          static_cast<double>(hot_bytes +
-                              subnets[job.subnet_index]->routes()
-                                  .memory_bytes()) /
-          static_cast<double>(fabric_ports);
-      job.point.manifest.profile = job.point.result.profile;
-      note_completed(job.point);
+  run_jobs(jobs.size(), threads, [&](std::size_t i) {
+    Job& job = jobs[i];
+    SimConfig cfg = spec.sim;
+    cfg.num_vls = job.point.vls;
+    cfg.policy = job.point.policy;
+    // Decorrelate the RNG streams across grid points while keeping each
+    // point reproducible in isolation; the hash depends only on the
+    // point's own coordinates, never on the grid shape or job index.
+    cfg.seed = sweep_point_seed(spec.sim.seed, job.point.scheme,
+                                job.point.vls, job.point.load);
+    TrafficConfig traffic = spec.traffic;
+    traffic.seed = sweep_traffic_seed(spec.traffic.seed, job.point.vls,
+                                      job.point.load);
+    const auto start = std::chrono::steady_clock::now();
+    std::size_t hot_bytes = 0;
+    if (options.shards > 1) {
+      // Sharded engine per point.  With several sweep workers already in
+      // flight the shards drain inline (1 thread) to avoid oversubscribing
+      // the host; a single-worker sweep lets the engine pick its own pool.
+      ShardedSimulation sim = ShardedSimulation::open_loop(
+          *subnets[job.subnet_index], cfg, traffic, job.point.load,
+          {static_cast<std::uint32_t>(options.shards),
+           threads > 1 ? 1u : 0u});
+      job.point.result = sim.run();
+      job.point.manifest.queue = sim.queue_stats();
+      hot_bytes = sim.memory_footprint();
+    } else {
+      Simulation sim = Simulation::open_loop(*subnets[job.subnet_index],
+                                             cfg, traffic, job.point.load);
+      job.point.result = sim.run();
+      job.point.manifest.queue = sim.queue_stats();
+      hot_bytes = sim.memory_footprint();
     }
-  };
-  if (threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-  }
+    const double wall =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start)
+            .count();
+    job.point.manifest.sim_seed = cfg.seed;
+    job.point.manifest.traffic_seed = traffic.seed;
+    job.point.manifest.wall_seconds = wall;
+    job.point.manifest.events_processed = job.point.result.events_processed;
+    job.point.manifest.events_scheduled = job.point.result.events_scheduled;
+    job.point.manifest.events_per_sec =
+        wall > 0.0
+            ? static_cast<double>(job.point.result.events_processed) / wall
+            : 0.0;
+    job.point.manifest.threads = threads;
+    job.point.manifest.shards = options.shards;
+    job.point.manifest.policy = job.point.policy.forwarding;
+    job.point.manifest.vl_map = job.point.policy.vl_map;
+    job.point.manifest.bytes_per_endport =
+        static_cast<double>(hot_bytes +
+                            subnets[job.subnet_index]->routes()
+                                .memory_bytes()) /
+        static_cast<double>(fabric_ports);
+    job.point.manifest.profile = job.point.result.profile;
+    note_completed(job.point);
+  });
 
   std::vector<SweepPoint> points;
   points.reserve(jobs.size());

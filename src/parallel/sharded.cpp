@@ -9,7 +9,7 @@
 #include <thread>
 #include <tuple>
 
-#include "obs/stream.hpp"
+#include "obs/interval.hpp"
 
 namespace mlid {
 
@@ -77,21 +77,22 @@ ShardedSimulation ShardedSimulation::open_loop(const Subnet& subnet,
     options.faults.validate();
   }
   // The interval sampler is driver-owned: the shards are built with a
-  // zeroed interval and the driver paces the fleet-wide timeline itself.
-  // Self-profiling and the metrics stream are driver-owned the same way.
+  // zeroed interval, and the driver's interval observer paces the
+  // fleet-wide timeline into the root shard's, which finalize_open_loop
+  // exports like the sequential engine does.  Self-profiling and the
+  // metrics stream are driver-owned the same way.
   SimConfig shard_cfg = driver.cfg_;
   shard_cfg.sample_interval_ns = 0;
   shard_cfg.profile = false;
   driver.stream_ = options.metrics;
-  if (driver.cfg_.sample_interval_ns > 0) {
-    driver.timeline_.configure(driver.cfg_.sample_interval_ns,
-                               driver.cfg_.timeline_max_samples);
-    driver.next_sample_ = driver.timeline_.interval_ns;
-  }
   for (std::uint32_t i = 0; i < driver.plan_.num_shards; ++i) {
     driver.shards_.push_back(Simulation::open_loop_shard(
         subnet, shard_cfg, traffic, offered_load, driver.sm_,
         driver.bindings_[i]));
+  }
+  if (driver.cfg_.sample_interval_ns > 0) {
+    driver.root().timeline_.configure(driver.cfg_.sample_interval_ns,
+                                      driver.cfg_.timeline_max_samples);
   }
   // The faults seed the driver's control queue with the same encoding
   // Simulation::attach_live_sm uses for its single queue.
@@ -284,41 +285,11 @@ void ShardedSimulation::window_loop(
     SimTime control_time = kSimTimeNever;
     if (const Event* c = control_.peek()) control_time = c->time;
     horizon = std::min(horizon, control_time);
-    if (sampling()) {
-      // Every event strictly before `horizon` has dispatched, so all sample
-      // times up to min(horizon, end) are due now -- before any event at
-      // `horizon` runs, which is exactly the sequential sampler's "sample
-      // at t covers the window ending at t" ordering.  The cadence is
-      // re-read after each append because decimation doubles it.
-      const SimTime sample_limit = std::min(horizon, end);
-      while (next_sample_ <= sample_limit) {
-        take_sample(next_sample_);
-        next_sample_ += timeline_.interval_ns;
-      }
-    }
-    if (stream_ != nullptr) {
-      // The metrics stream paces on the same terms as the sampler: every
-      // boundary up to min(horizon, end) is due before any event at
-      // `horizon` dispatches.
-      const SimTime stream_limit = std::min(horizon, end);
-      while (next_stream_ <= stream_limit) {
-        emit_stream_window(next_stream_, /*partial=*/false);
-        next_stream_ += stream_->interval_ns();
-      }
-    }
     if (horizon >= end) return;  // drained, or only post-end events remain
     const SimTime by_lookahead = lookahead >= kSimTimeNever - horizon
                                      ? kSimTimeNever
                                      : horizon + lookahead;
-    // A pending sample clips the window like a zero-lookahead control
-    // event: no event at or past next_sample_ may dispatch before it fires.
-    // A pending stream boundary clips identically; splitting a window is
-    // always a valid conservative-sync schedule, so the clip is
-    // result-neutral.
-    const SimTime sample_time = sampling() ? next_sample_ : kSimTimeNever;
-    const SimTime stream_time = stream_ != nullptr ? next_stream_ : kSimTimeNever;
-    const SimTime window_end =
-        std::min({by_lookahead, control_time, end, sample_time, stream_time});
+    const SimTime window_end = std::min({by_lookahead, control_time, end});
     if (window_end > horizon) {
       // Every event in [horizon, window_end) is safe to dispatch without
       // cross-shard coordination: anything a shard emits during the window
@@ -375,12 +346,14 @@ void ShardedSimulation::window_loop(
   }
 }
 
-void ShardedSimulation::drive(SimTime end) {
+void ShardedSimulation::drive(SimTime end, IntervalObserver& observer) {
   const SimTime lookahead =
       plan_.num_shards > 1 ? plan_.lookahead_ns : kSimTimeNever;
   if (threads_used_ <= 1) {
-    window_loop(end, lookahead,
-                [this](SimTime we) { drain_shards(0, 1, we); });
+    observer.run(end, [&](SimTime until) {
+      window_loop(until, lookahead,
+                  [this](SimTime we) { drain_shards(0, 1, we); });
+    });
     return;
   }
 
@@ -421,11 +394,14 @@ void ShardedSimulation::drive(SimTime end) {
     start.arrive_and_wait();  // releases the workers into their exit path
   };
   try {
-    window_loop(end, lookahead, [&](SimTime we) {
+    const std::function<void(SimTime)> drain_all = [&](SimTime we) {
       window_end = we;
       start.arrive_and_wait();
       done.arrive_and_wait();
       if (err) std::rethrow_exception(err);
+    };
+    observer.run(end, [&](SimTime until) {
+      window_loop(until, lookahead, drain_all);
     });
     shutdown();
   } catch (...) {
@@ -531,100 +507,25 @@ void ShardedSimulation::replay_deliveries() {
   }
 }
 
-void ShardedSimulation::take_sample(SimTime t) {
-  TimelineSample s;
-  s.t_ns = t;
-  s.intervals = static_cast<std::uint32_t>(timeline_.interval_ns /
-                                           timeline_.base_interval_ns);
-  std::uint64_t generated = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t becn = 0;
-  for (const Simulation& sh : shards_) {
-    generated += sh.result_.packets_generated;
-    delivered += sh.result_.packets_delivered;
-    dropped += sh.result_.packets_dropped;
-    becn += sh.cc_becn_sent_;
-  }
-  s.generated = generated - sampled_generated_;
-  s.delivered = delivered - sampled_delivered_;
-  s.dropped = dropped - sampled_dropped_;
-  s.becn = becn - sampled_becn_;
-  sampled_generated_ = generated;
-  sampled_delivered_ = delivered;
-  sampled_dropped_ = dropped;
-  sampled_becn_ = becn;
-  s.in_flight = generated - delivered - dropped;
-  // Gauge fields accumulate across shards: sums add up, maxima max-merge
-  // (each shard only scans its owned devices / HCAs).
-  for (const Simulation& sh : shards_) sh.collect_sample_gauges(s);
-  timeline_.append(s);
-}
-
-void ShardedSimulation::emit_stream_window(SimTime t, bool partial) {
-  MetricsWindow w;
-  w.t_ns = t;
-  w.window_ns = t - last_stream_;
-  w.partial = partial;
-  w.shards = plan_.num_shards;
-  std::uint64_t generated = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t becn = 0;
-  std::uint64_t processed = control_.events_processed();
-  for (const Simulation& sh : shards_) {
-    generated += sh.result_.packets_generated;
-    delivered += sh.result_.packets_delivered;
-    dropped += sh.result_.packets_dropped;
-    becn += sh.cc_becn_sent_;
-    processed += sh.events_.events_processed();
-  }
-  w.generated = generated - streamed_generated_;
-  w.delivered = delivered - streamed_delivered_;
-  w.dropped = dropped - streamed_dropped_;
-  w.becn = becn - streamed_becn_;
-  streamed_generated_ = generated;
-  streamed_delivered_ = delivered;
-  streamed_dropped_ = dropped;
-  streamed_becn_ = becn;
-  w.in_flight = generated - delivered - dropped;
-  w.events_processed = processed;
-  last_stream_ = t;
-  stream_->window(w);
-}
-
 SimResult ShardedSimulation::run() {
   MLID_EXPECT(!burst_, "burst driver: use run_to_completion()");
   MLID_EXPECT(!ran_, "a sharded simulation runs once");
   ran_ = true;
   const SimTime end = cfg_.end_time();
   const auto run_start = std::chrono::steady_clock::now();
-  if (stream_ != nullptr) {
-    next_stream_ = stream_->interval_ns();
-    last_stream_ = 0;
-  }
-  drive(end);
+  IntervalObserver observer(shards_, &control_, &root().timeline_, stream_);
+  drive(end, observer);
   drain_mailboxes();
   // The final sub-interval window must go out before merge_into_root sums
-  // the non-root shards' counters into the root (the fleet loop in
-  // emit_stream_window would double-count them afterwards).
-  if (stream_ != nullptr && last_stream_ < end) {
-    emit_stream_window(end, /*partial=*/true);
-  }
+  // the non-root shards' counters into the root (the observer's fleet sum
+  // would double-count them afterwards).
+  observer.finish(end);
   merge_into_root();
   replay_deliveries();
-  // Hand the driver-paced timeline to the root so finalize_open_loop
-  // exports it in SimResult exactly like the sequential engine does.
-  if (sampling()) root().timeline_ = timeline_;
-  std::uint64_t processed = control_.events_processed();
-  std::uint64_t scheduled = control_.events_scheduled();
-  for (const Simulation& s : shards_) {
-    processed += s.events_.events_processed();
-    scheduled += s.events_.events_scheduled();
-  }
+  const EventQueueStats qs = queue_stats();
   if (profiling()) {
-    // Assemble the fleet profile and hand it to the root the same way the
-    // timeline travels; finalize_open_loop copies it into SimResult.
+    // Assemble the fleet profile and hand it to the root;
+    // finalize_open_loop copies it into SimResult.
     profile_.enabled = true;
     profile_.shards = plan_.num_shards;
     profile_.threads = threads_used_;
@@ -642,7 +543,6 @@ SimResult ShardedSimulation::run() {
       profile_.processing_ns += profile_.shard_phases[i].processing_ns;
       profile_.barrier_wait_ns += profile_.shard_phases[i].barrier_wait_ns;
     }
-    const EventQueueStats qs = queue_stats();
     profile_.queue_pushes = qs.events_scheduled;
     profile_.queue_pops = qs.events_processed;
     profile_.queue_overflow_pushes = qs.overflow_pushes;
@@ -650,19 +550,9 @@ SimResult ShardedSimulation::run() {
     root().profile_ = profile_;
   }
   root().check_invariants();
-  const SimResult result = root().finalize_open_loop(processed, scheduled);
-  if (stream_ != nullptr) {
-    MetricsRunSummary summary;
-    summary.end_ns = end;
-    summary.shards = plan_.num_shards;
-    summary.threads = threads_used_;
-    summary.generated = result.packets_generated;
-    summary.delivered = result.packets_delivered;
-    summary.dropped = result.packets_dropped;
-    summary.events_processed = result.events_processed;
-    summary.profile = &result.profile;
-    stream_->run_summary(summary);
-  }
+  const SimResult result =
+      root().finalize_open_loop(qs.events_processed, qs.events_scheduled);
+  observer.summarize(result, threads_used_);
   return result;
 }
 
@@ -670,7 +560,9 @@ BurstResult ShardedSimulation::run_to_completion() {
   MLID_EXPECT(burst_, "run_to_completion needs the burst factory");
   MLID_EXPECT(!ran_, "a sharded simulation runs once");
   ran_ = true;
-  drive(kSimTimeNever);
+  // No sinks: the observer's run is one advance until the queues drain.
+  IntervalObserver observer(shards_, &control_, nullptr, nullptr);
+  drive(kSimTimeNever, observer);
   drain_mailboxes();
   merge_into_root();
   replay_deliveries();
@@ -678,14 +570,9 @@ BurstResult ShardedSimulation::run_to_completion() {
   MLID_EXPECT(r.result_.packets_delivered + r.result_.packets_dropped ==
                   r.result_.packets_generated,
               "burst did not fully drain");
-  std::uint64_t processed = control_.events_processed();
-  std::uint64_t scheduled = control_.events_scheduled();
-  for (const Simulation& s : shards_) {
-    processed += s.events_.events_processed();
-    scheduled += s.events_.events_scheduled();
-  }
   r.check_invariants();
-  return r.finalize_burst(processed, scheduled);
+  const EventQueueStats qs = queue_stats();
+  return r.finalize_burst(qs.events_processed, qs.events_scheduled);
 }
 
 EventQueueStats ShardedSimulation::queue_stats() const {

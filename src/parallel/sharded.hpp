@@ -30,20 +30,15 @@
 //     order on shard 0 at the end, reproducing the sequential sequence
 //     exactly (including float rounding).
 //
-// Time-resolved telemetry: the interval sampler (SimConfig::sample_interval_ns)
-// is *driver-owned* in sharded runs.  Shards never pace their own timeline;
-// the driver treats each sample time like a zero-lookahead barrier (windows
-// are clipped at the next sample), sums fleet-wide counters for the deltas
-// and merges every shard's gauges into one TimelineSample -- so the sampled
-// timeline is bit-identical to the sequential engine's for any shard or
-// thread count.
-//
-// Engine self-profiling (SimConfig::profile) and the JSONL metrics stream
-// (OpenLoopOptions::metrics) are driver-owned on the same terms: a stream
-// boundary clips windows exactly like a sample time (any window partition
-// is a valid conservative-sync schedule), and the profiler reads host
-// clocks and existing counters only -- both are result-neutral for any
-// shard/thread count (tests/obs/profile_parity_test.cpp).
+// Time-resolved telemetry: the interval sampler and the JSONL metrics
+// stream are driver-owned in sharded runs.  The driver runs the same
+// IntervalObserver as the sequential engine (obs/interval.hpp) over all
+// shards plus its control queue; a boundary clips the window like a
+// zero-lookahead barrier (any window partition is a valid conservative-sync
+// schedule), so both sinks match the sequential engine's output for any
+// shard or thread count (tests/parallel/sharded_timeline_test.cpp).  The
+// self-profiler (SimConfig::profile) reads host clocks and counters only,
+// so it is result-neutral too (tests/obs/profile_parity_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -51,6 +46,7 @@
 #include <vector>
 
 #include "common/stats.hpp"
+#include "obs/interval.hpp"
 #include "parallel/partition.hpp"
 #include "sim/engine.hpp"
 
@@ -130,26 +126,20 @@ class ShardedSimulation {
   void drain_shards(std::uint32_t first, std::uint32_t stride,
                     SimTime window_end);
   /// The conservative-sync loop: computes each window and runs it through
-  /// `drain_all(window_end)` (single- or multi-threaded).
+  /// `drain_all(window_end)` (single- or multi-threaded) until every event
+  /// before `end` has dispatched.
   void window_loop(SimTime end, SimTime lookahead,
                    const std::function<void(SimTime)>& drain_all);
-  /// window_loop with the thread pool wrapped around it.
-  void drive(SimTime end);
+  /// The observer's run to `end` over window_loop, with the thread pool
+  /// wrapped around it.
+  void drive(SimTime end, IntervalObserver& observer);
   /// Folds every non-root shard into shard 0: owned device / CC state moves
   /// over, integer counters sum, watermarks max-merge.
   void merge_into_root();
   /// Sorts all shards' DeliveryRecords into canonical order and feeds them
   /// through shard 0's accumulators.
   void replay_deliveries();
-  /// Driver-level TimelineSample at simulated time `t`: fleet-wide counter
-  /// deltas plus every shard's gauges (mirrors Simulation::take_sample).
-  void take_sample(SimTime t);
-  [[nodiscard]] bool sampling() const noexcept { return timeline_.enabled(); }
   [[nodiscard]] bool profiling() const noexcept { return cfg_.profile; }
-  /// Driver-level JSONL "window" line at simulated time `t`: fleet-wide
-  /// counter deltas (mirrors take_sample; emitted before merge_into_root so
-  /// per-shard counters are not double-counted).
-  void emit_stream_window(SimTime t, bool partial);
   [[nodiscard]] Simulation& root() { return shards_.front(); }
 
   const Subnet* subnet_;
@@ -171,14 +161,9 @@ class ShardedSimulation {
   /// events, and the ladder's bucket machinery would be pure overhead.
   EventQueue control_{EventQueueKind::kHeap, EventOrder::kCanonical};
 
-  // Driver-owned interval sampler (open-loop only; the shards' own configs
-  // carry sample_interval_ns == 0).
-  Timeline timeline_;
-  SimTime next_sample_ = 0;              ///< next pending sample time
-  std::uint64_t sampled_generated_ = 0;  ///< fleet counters at the last sample
-  std::uint64_t sampled_delivered_ = 0;
-  std::uint64_t sampled_dropped_ = 0;
-  std::uint64_t sampled_becn_ = 0;
+  /// Metrics stream (open-loop only), paced like the timeline by run()'s
+  /// IntervalObserver; non-owning, from OpenLoopOptions.
+  MetricsStreamer* stream_ = nullptr;
 
   // --- engine self-profiler (inert unless cfg_.profile; obs/profile.hpp).
   // Per-shard wall time accumulates inside drain_shards (each shard is
@@ -192,15 +177,6 @@ class ShardedSimulation {
   std::vector<std::uint64_t> win_shard_events_;  ///< per-shard processed, window start
   OnlineStats window_width_;  ///< simulated-ns window widths
   OnlineStats imbalance_;     ///< per-window max/mean events-per-shard factor
-
-  // --- metrics stream (driver-paced like the sampler; open-loop only) --------
-  MetricsStreamer* stream_ = nullptr;  ///< non-owning, from OpenLoopOptions
-  SimTime next_stream_ = 0;
-  SimTime last_stream_ = 0;
-  std::uint64_t streamed_generated_ = 0;  ///< fleet counters at the last line
-  std::uint64_t streamed_delivered_ = 0;
-  std::uint64_t streamed_dropped_ = 0;
-  std::uint64_t streamed_becn_ = 0;
 };
 
 }  // namespace mlid

@@ -8,7 +8,7 @@
 #include <sstream>
 #include <type_traits>
 
-#include "obs/stream.hpp"
+#include "obs/interval.hpp"
 
 namespace mlid {
 
@@ -1185,50 +1185,6 @@ void Simulation::materialize_traces() {
 // events, draw random numbers or mutate engine state, which is what keeps
 // results bit-identical with the instrumentation on or off.
 
-void Simulation::take_sample(SimTime t) {
-  TimelineSample s;
-  s.t_ns = t;
-  // `intervals` counts BASE intervals: after d decimations each new sample
-  // covers one doubled window, i.e. 2^d base intervals, keeping the
-  // per-sample tiling invariant t_ns - prev.t_ns == intervals * base.
-  s.intervals =
-      static_cast<std::uint32_t>(timeline_.interval_ns /
-                                 timeline_.base_interval_ns);
-  s.generated = result_.packets_generated - sampled_generated_;
-  s.delivered = result_.packets_delivered - sampled_delivered_;
-  s.dropped = result_.packets_dropped - sampled_dropped_;
-  s.becn = cc_becn_sent_ - sampled_becn_;
-  sampled_generated_ = result_.packets_generated;
-  sampled_delivered_ = result_.packets_delivered;
-  sampled_dropped_ = result_.packets_dropped;
-  sampled_becn_ = cc_becn_sent_;
-  s.in_flight = result_.packets_generated - result_.packets_delivered -
-                result_.packets_dropped;
-  collect_sample_gauges(s);
-  timeline_.append(s);
-}
-
-void Simulation::emit_stream_window(SimTime t, bool partial) {
-  MetricsWindow w;
-  w.t_ns = t;
-  w.window_ns = t - last_stream_;
-  w.partial = partial;
-  w.shards = 1;
-  w.generated = result_.packets_generated - streamed_generated_;
-  w.delivered = result_.packets_delivered - streamed_delivered_;
-  w.dropped = result_.packets_dropped - streamed_dropped_;
-  w.becn = cc_becn_sent_ - streamed_becn_;
-  streamed_generated_ = result_.packets_generated;
-  streamed_delivered_ = result_.packets_delivered;
-  streamed_dropped_ = result_.packets_dropped;
-  streamed_becn_ = cc_becn_sent_;
-  w.in_flight = result_.packets_generated - result_.packets_delivered -
-                result_.packets_dropped;
-  w.events_processed = events_.events_processed();
-  last_stream_ = t;
-  stream_->window(w);
-}
-
 void Simulation::collect_sample_gauges(TimelineSample& s) const {
   const Fabric& g = subnet_->fabric().fabric();
   for (DeviceId dev = 0; dev < g.num_devices(); ++dev) {
@@ -1634,46 +1590,12 @@ SimResult Simulation::run() {
   MLID_EXPECT(!sharded(), "sharded runs go through ShardedSimulation");
   const SimTime end = cfg_.end_time();
   const auto run_start = std::chrono::steady_clock::now();
-  next_stream_ = stream_ != nullptr ? stream_->interval_ns() : kSimTimeNever;
-  last_stream_ = 0;
+  IntervalObserver observer({this, 1}, nullptr, &timeline_, stream_);
   try {
-    if (!timeline_.enabled() && stream_ == nullptr) {
-      events_.drain_until(end, [this](const Event& e) { dispatch(e); });
-    } else {
-      // Sampler-interposed drain: a sample at time t is taken before any
-      // event at t dispatches, so it covers the window ending at t.  The
-      // cadence is re-read after every sample because append() doubles it
-      // when decimation triggers.  This is an observation loop wrapped
-      // around the identical pop order -- no event is ever scheduled for
-      // sampling, which is what keeps results bit-identical.  The metrics
-      // stream pacer interleaves on the same terms (its boundaries are
-      // host-side writes, never events).
-      SimTime next = timeline_.enabled()
-                         ? static_cast<SimTime>(timeline_.interval_ns)
-                         : kSimTimeNever;
-      while (const Event* e = events_.peek()) {
-        if (e->time >= end) break;
-        while (next <= e->time || next_stream_ <= e->time) {
-          if (next <= next_stream_) {
-            take_sample(next);
-            next += timeline_.interval_ns;
-          } else {
-            emit_stream_window(next_stream_, /*partial=*/false);
-            next_stream_ += stream_->interval_ns();
-          }
-        }
-        dispatch(events_.pop());
-      }
-      while (next <= end || next_stream_ <= end) {
-        if (next <= next_stream_) {
-          take_sample(next);
-          next += timeline_.interval_ns;
-        } else {
-          emit_stream_window(next_stream_, /*partial=*/false);
-          next_stream_ += stream_->interval_ns();
-        }
-      }
-    }
+    // Without a sink next_due() is never, so this is one drain to `end`.
+    observer.run(end, [this](SimTime until) {
+      events_.drain_until(until, [this](const Event& e) { dispatch(e); });
+    });
     check_invariants();
   } catch (const ContractViolation&) {
     // Give the flight recorder its second job: on an engine-invariant
@@ -1690,6 +1612,7 @@ SimResult Simulation::run() {
     }
     throw;
   }
+  observer.finish(end);
   materialize_traces();
   if (cfg_.profile) {
     // Sequential runs carry the sharded phase taxonomy with degenerate
@@ -1714,21 +1637,7 @@ SimResult Simulation::run() {
   }
   const SimResult result = finalize_open_loop(events_.events_processed(),
                                               events_.events_scheduled());
-  if (stream_ != nullptr) {
-    // The final sub-interval window (if the run end is not on a stream
-    // boundary), then the run summary.
-    if (last_stream_ < end) emit_stream_window(end, /*partial=*/true);
-    MetricsRunSummary summary;
-    summary.end_ns = end;
-    summary.shards = 1;
-    summary.threads = 1;
-    summary.generated = result.packets_generated;
-    summary.delivered = result.packets_delivered;
-    summary.dropped = result.packets_dropped;
-    summary.events_processed = result.events_processed;
-    summary.profile = &result.profile;
-    stream_->run_summary(summary);
-  }
+  observer.summarize(result, /*threads=*/1);
   return result;
 }
 

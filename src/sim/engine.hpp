@@ -179,6 +179,8 @@ class Simulation {
   /// shard instances through the private machinery: it pops/dispatches
   /// events, drains outboxes, replays deliveries and merges results.
   friend class ShardedSimulation;
+  /// The interval observer (obs/interval.hpp) reads counters and gauges.
+  friend class IntervalObserver;
 
   // --- engine state types ----------------------------------------------------
   //
@@ -385,15 +387,9 @@ class Simulation {
   /// Distributes the pooled trace arena into traces_[i].events (run end).
   void materialize_traces();
   // --- time-resolved observability (all passive; see sim/timeline.hpp) -------
-  /// Snapshots one TimelineSample at simulated time `t` (counters-only).
-  void take_sample(SimTime t);
   /// Fills the gauge fields of `s` by scanning this engine's (owned)
-  /// devices and HCAs.  Shared by the sequential sampler and -- summed
-  /// across shards -- the sharded driver's sampler.
+  /// devices and HCAs; the interval observer sums it across shards.
   void collect_sample_gauges(TimelineSample& s) const;
-  /// Emits one JSONL "window" line at simulated time `t` (counters-only;
-  /// sequential engine; the sharded driver paces its own fleet lines).
-  void emit_stream_window(SimTime t, bool partial);
   void record_flight(const Event& e);
   void record_control(const Event& e);
   /// The device a dispatched event belongs to for the flight recorder
@@ -488,10 +484,6 @@ class Simulation {
 
   // --- time-resolved observability (empty / inert unless configured) ---------
   Timeline timeline_;
-  std::uint64_t sampled_generated_ = 0;  ///< counters at the last sample
-  std::uint64_t sampled_delivered_ = 0;
-  std::uint64_t sampled_dropped_ = 0;
-  std::uint64_t sampled_becn_ = 0;
   std::vector<FlightEvent> flight_ring_;   ///< [dev * depth + slot]
   std::vector<std::uint32_t> flight_pos_;  ///< next write slot per device
   std::vector<std::uint32_t> flight_len_;  ///< valid entries per device
@@ -505,12 +497,6 @@ class Simulation {
   /// SimResult::profile.
   ProfileSummary profile_;
   MetricsStreamer* stream_ = nullptr;  ///< non-owning, from OpenLoopOptions
-  SimTime next_stream_ = 0;            ///< next window-line boundary
-  SimTime last_stream_ = 0;            ///< previous emitted boundary
-  std::uint64_t streamed_generated_ = 0;  ///< counters at the last line
-  std::uint64_t streamed_delivered_ = 0;
-  std::uint64_t streamed_dropped_ = 0;
-  std::uint64_t streamed_becn_ = 0;
 
   // --- metrics accumulation -------------------------------------------------
   SimResult result_;

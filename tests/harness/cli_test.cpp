@@ -175,6 +175,37 @@ TEST(CliDeathTest, ZeroParallelismIsRejected) {
               "--shards");
 }
 
+// Values the engine would reject with a ContractViolation deep inside a
+// sweep worker must die at parse time as usage errors instead.
+TEST(CliDeathTest, NegativeSampleIntervalIsRejected) {
+  EXPECT_EXIT(parse({"--sample-interval-ns=-5"}),
+              ::testing::ExitedWithCode(2),
+              "--sample-interval-ns must be >= 0");
+}
+
+TEST(CliDeathTest, NonPositiveCcTimerIsRejected) {
+  EXPECT_EXIT(parse({"--cc", "--cc-timer-ns=-3"}),
+              ::testing::ExitedWithCode(2), "--cc-timer-ns must be >= 1");
+}
+
+TEST(CliDeathTest, ZeroCcThresholdIsRejected) {
+  EXPECT_EXIT(parse({"--cc", "--cc-threshold=0"}),
+              ::testing::ExitedWithCode(2), "--cc-threshold must be >= 1");
+}
+
+TEST(CliDeathTest, ZeroTraceStrideIsRejected) {
+  EXPECT_EXIT(parse({"--trace-packets=5", "--trace-stride=0"}),
+              ::testing::ExitedWithCode(2), "--trace-stride must be >= 1");
+}
+
+TEST(Cli, BoundaryNumericValuesAreAccepted) {
+  EXPECT_EQ(parse({"--sample-interval-ns=0"}).sample_interval_ns(), 0);
+  const CliOptions cc = parse({"--cc", "--cc-timer-ns=1", "--cc-threshold=1"});
+  ASSERT_TRUE(cc.cc().has_value());
+  EXPECT_EQ(cc.cc()->timer_ns, 1);
+  EXPECT_EQ(cc.cc()->fecn_threshold_pkts, 1u);
+}
+
 TEST(CliDeathTest, BogusEventQueueKindIsRejected) {
   EXPECT_EXIT(parse({"--event-queue=bogus"}), ::testing::ExitedWithCode(2),
               "--event-queue");

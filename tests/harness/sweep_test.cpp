@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 
+#include "common/expect.hpp"
+#include "harness/job_pool.hpp"
 #include "harness/report.hpp"
 
 namespace mlid {
@@ -303,6 +306,34 @@ TEST(Sweep, RenderersIncludeEverySample) {
   const std::string summary = render_figure_summary(spec, points);
   EXPECT_NE(summary.find("MLID/SLID saturation throughput @1VL"),
             std::string::npos);
+}
+
+TEST(Sweep, WorkerExceptionsReachTheCaller) {
+  // A point that violates a contract must surface as an exception on the
+  // caller's thread at any thread count -- not as std::terminate inside a
+  // pool worker.
+  FigureSpec spec = tiny_spec();
+  spec.sim.packet_bytes = 0;  // "empty packets are not modelled"
+  for (const unsigned threads : {1u, 4u}) {
+    SweepOptions options;
+    options.threads = threads;
+    EXPECT_THROW(run_sweep(spec, options), ContractViolation) << threads;
+  }
+}
+
+TEST(JobPool, FirstFailureStopsTheHandOut) {
+  std::atomic<int> ran{0};
+  const auto failing = [&](std::size_t) {
+    ++ran;
+    throw ContractViolation("job", "job failed",
+                            std::source_location::current());
+  };
+  EXPECT_THROW(run_jobs(100, 1, failing), ContractViolation);
+  EXPECT_EQ(ran.load(), 1);
+  ran = 0;
+  // Each worker stops after at most its one in-flight job.
+  EXPECT_THROW(run_jobs(100, 4, failing), ContractViolation);
+  EXPECT_LE(ran.load(), 4);
 }
 
 }  // namespace
